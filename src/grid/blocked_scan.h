@@ -106,6 +106,12 @@ class BlockedScanner {
   /// can construct the skip structure without instantiating a scanner.
   static size_t BlockPointsFor(size_t dim, BlockedScanConfig config = {});
 
+  /// Fewest weights a query must still scan before its dominance pass
+  /// (MakeQueryContext with use_domin, O(n·d)) pays for itself. Below
+  /// this the bound-filtered scans are cheaper; answers are identical
+  /// either way, since the dominance buffer only prunes.
+  static constexpr size_t kDominMinWeights = 8;
+
   /// Per-query precomputed state shared by every weight batch: the full
   /// dominator set of q (Algorithm 1's Domin), found in one O(n·d) pass
   /// and amortized over all |W| scans. Dominated points are skipped by the

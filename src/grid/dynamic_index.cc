@@ -48,12 +48,6 @@ int64_t CountStrictlyBelow(const std::vector<double>& v, double s) {
                               v.begin());
 }
 
-/// Minimum number of fallback weights before the dirty paths pay for the
-/// blocked scanner's O(n·d) dominance pass. Below this the per-weight
-/// bound-filtered scans are cheaper than building the Domin buffer; the
-/// choice does not affect results.
-constexpr size_t kDominMinWeights = 8;
-
 }  // namespace
 
 struct DynamicGirIndex::QueryPrep {
@@ -853,61 +847,6 @@ void DynamicGirIndex::EnsureCorrections(QueryPrep& prep, size_t h) const {
   prep.added[h] = CountStrictlyBelow(delta_scores_[h], prep.fq[h]);
 }
 
-void DynamicGirIndex::RunFallbackRanks(
-    const BlockedScanner& scanner, const BlockedScanner::QueryContext& qctx,
-    ConstRow q, const int64_t* thresholds, size_t m, ThreadPool* pool,
-    QueryStats* stats,
-    const std::function<void(size_t, int64_t)>& emit) const {
-  const size_t batch = scanner.weight_batch();
-  std::vector<size_t> starts;
-  for (size_t b = 0; b < m; b += batch) {
-    const size_t e = std::min(b + batch, m);
-    for (size_t w = b; w < e; ++w) {
-      if (thresholds[w] > 0) {
-        starts.push_back(b);
-        break;
-      }
-    }
-  }
-  if (starts.empty()) return;
-  auto run = [&](size_t ci_begin, size_t ci_end, QueryStats* run_stats,
-                 std::vector<std::pair<size_t, int64_t>>& out) {
-    BlockedScratch scratch;
-    std::vector<int64_t> thr;
-    std::vector<int64_t> ranks;
-    for (size_t ci = ci_begin; ci < ci_end; ++ci) {
-      const size_t b = starts[ci];
-      const size_t e = std::min(b + batch, m);
-      thr.assign(thresholds + b, thresholds + e);
-      ranks.resize(e - b);
-      scanner.RankBatch(q, qctx, b, e, thr.data(), ranks.data(), scratch,
-                        run_stats);
-      for (size_t i = 0; i < e - b; ++i) {
-        if (thr[i] > 0 && ranks[i] != kRankOverThreshold) {
-          out.emplace_back(b + i, ranks[i]);
-        }
-      }
-    }
-  };
-  std::vector<std::pair<size_t, int64_t>> found;
-  if (pool == nullptr || pool->thread_count() <= 1 || starts.size() < 2) {
-    run(0, starts.size(), stats, found);
-  } else {
-    std::mutex merge_mutex;
-    pool->ParallelFor(0, starts.size(), 1,
-                      [&](size_t ci_begin, size_t ci_end) {
-                        QueryStats local_stats;
-                        std::vector<std::pair<size_t, int64_t>> local;
-                        run(ci_begin, ci_end,
-                            stats != nullptr ? &local_stats : nullptr, local);
-                        std::lock_guard<std::mutex> lock(merge_mutex);
-                        if (stats != nullptr) *stats += local_stats;
-                        found.insert(found.end(), local.begin(), local.end());
-                      });
-  }
-  for (const auto& [w, rank] : found) emit(w, rank);
-}
-
 ReverseTopKResult DynamicGirIndex::DirtyReverseTopK(ConstRow q, size_t k,
                                                     ThreadPool* pool,
                                                     QueryStats* stats) const {
@@ -1056,21 +995,10 @@ ReverseTopKResult DynamicGirIndex::DirtyReverseTopK(ConstRow q, size_t k,
     ++fallback_base;
   }
   if (fallback_base > 0) {
-    BlockedScanner base_scanner(*base_points_, gir_->point_cells(),
-                                *base_weights_, gir_->weight_cells(),
-                                gir_->grid(), options_.gir.bound_mode, {},
-                                gir_->block_max().get());
-    // The dominance buffer costs an O(n·d) pass over every base point;
-    // only amortized when the fallback spans enough weights. Results are
-    // identical either way (domin is purely a pruning device).
-    const bool use_domin =
-        options_.gir.use_domin && fallback_base >= kDominMinWeights;
-    const BlockedScanner::QueryContext qctx =
-        base_scanner.MakeQueryContext(q, use_domin);
-    RunFallbackRanks(base_scanner, qctx, q, base_thr.data(), nbw, pool,
-                     stats, [&](size_t w, int64_t) {
-                       result.push_back(live_weight_id(w));
-                     });
+    for (const auto& [qi, entry] : gir_->MaskedFallback(
+             {&q, 1}, base_thr, /*heaps=*/nullptr, 0, pool, stats)) {
+      result.push_back(live_weight_id(entry.weight_id));
+    }
   }
   std::sort(result.begin(), result.end());
   return result;
@@ -1185,17 +1113,18 @@ ReverseKRanksResult DynamicGirIndex::DirtyReverseKRanks(
   }
 
   if (unresolved_count > 0) {
-    BlockedScanner base_scanner(*base_points_, gir_->point_cells(),
-                                *base_weights_, gir_->weight_cells(),
-                                gir_->grid(), options_.gir.bound_mode, {},
-                                gir_->block_max().get());
-    // Same gate as the top-k fallback: the dominance pass is O(n·d) and
-    // only pays off when enough weights are unresolved.
-    const bool use_domin = options_.gir.use_domin &&
-                           unresolved_count >= kDominMinWeights;
-    const BlockedScanner::QueryContext qctx =
-        base_scanner.MakeQueryContext(q, use_domin);
     if (pool == nullptr || pool->thread_count() <= 1) {
+      BlockedScanner base_scanner(*base_points_, gir_->point_cells(),
+                                  *base_weights_, gir_->weight_cells(),
+                                  gir_->grid(), options_.gir.bound_mode, {},
+                                  gir_->block_max().get());
+      // The dominance pass is O(n·d) and only pays off when enough
+      // weights are unresolved; answers are identical either way.
+      const bool use_domin =
+          options_.gir.use_domin &&
+          unresolved_count >= BlockedScanner::kDominMinWeights;
+      const BlockedScanner::QueryContext qctx =
+          base_scanner.MakeQueryContext(q, use_domin);
       // Serial: the cap self-refines from the heap at batch granularity,
       // exactly like the static blocked k-ranks scan.
       auto scan_side = [&](const BlockedScanner& scanner, size_t m_side,
@@ -1257,28 +1186,19 @@ ReverseKRanksResult DynamicGirIndex::DirtyReverseKRanks(
       if (shared_cap != nullptr) {
         cap = std::min(cap, shared_cap->load(std::memory_order_relaxed));
       }
-      auto side_thresholds = [&](size_t m_side, size_t handle_base,
-                                 const uint8_t* unresolved) {
-        std::vector<int64_t> thr(m_side, 0);
-        for (size_t w = 0; w < m_side; ++w) {
-          if (unresolved[w] == 0) continue;
-          const size_t h = handle_base + w;
-          const int64_t shift = prep.added[h] - prep.removed[h];
-          thr[w] = std::max<int64_t>(cap + 1 - shift, 0);
-        }
-        return thr;
-      };
-      std::vector<RankedWeight> found;
-      const std::vector<int64_t> base_thr =
-          side_thresholds(nbw, 0, base_unresolved.data());
-      RunFallbackRanks(base_scanner, qctx, q, base_thr.data(), nbw, pool,
-                       stats, [&](size_t w, int64_t rank) {
-                         const int64_t shift =
-                             prep.added[w] - prep.removed[w];
-                         found.push_back(
-                             RankedWeight{live_weight_id(w), rank + shift});
-                       });
-      for (const RankedWeight& entry : found) PushRanked(heap, take, entry);
+      std::vector<int64_t> base_thr(nbw, 0);
+      for (size_t w = 0; w < nbw; ++w) {
+        if (base_unresolved[w] == 0) continue;
+        const int64_t shift = prep.added[w] - prep.removed[w];
+        base_thr[w] = std::max<int64_t>(cap + 1 - shift, 0);
+      }
+      for (const auto& [qi, entry] : gir_->MaskedFallback(
+               {&q, 1}, base_thr, /*heaps=*/nullptr, 0, pool, stats)) {
+        const size_t w = entry.weight_id;
+        const int64_t shift = prep.added[w] - prep.removed[w];
+        PushRanked(heap, take,
+                   RankedWeight{live_weight_id(w), entry.rank + shift});
+      }
     }
   }
   std::sort(heap.begin(), heap.end());

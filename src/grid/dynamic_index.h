@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -328,16 +327,6 @@ class DynamicGirIndex {
   uint32_t LiveTauPositionBound(size_t h, double s) const;
   /// Copies handle h's tracked live-τ head (valid prefix) into `out`.
   void CopyLiveTauHead(size_t h, std::vector<double>* out) const;
-
-  /// Blocked-scan fallback over one weight side (base or delta weights).
-  /// thresholds[w] <= 0 masks slot w; emit(w, rank) fires, on the calling
-  /// thread, for every slot whose exact rank came back below its
-  /// threshold. `pool` != nullptr stripes the weight batches.
-  void RunFallbackRanks(const BlockedScanner& scanner,
-                        const BlockedScanner::QueryContext& qctx, ConstRow q,
-                        const int64_t* thresholds, size_t m, ThreadPool* pool,
-                        QueryStats* stats,
-                        const std::function<void(size_t, int64_t)>& emit) const;
 
   /// Shared per-query state of the dirty-path queries. Corrections are
   /// computed lazily: most weights are decided by conservative bounds

@@ -1,7 +1,7 @@
 #include "grid/gir_queries.h"
 
 #include <algorithm>
-#include <atomic>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,7 +45,45 @@ size_t TauStripeGrain(size_t total, size_t threads) {
   return std::max<size_t>(1, (total + target_stripes - 1) / target_stripes);
 }
 
+/// Pass 1 of the τ-bracketed engines: one register-tiled ScoreBlock sweep
+/// scores every query row under every weight, then bracket(begin, end,
+/// scores) settles that stripe's (query, weight) slots; `scores` is
+/// rows.size() x |W|, row-major. Large W stripes over `pool`.
+template <typename BracketFn>
+void TauBracketPass(const TauIndex& tau, std::span<const ConstRow> rows,
+                    ThreadPool* pool, QueryStats* stats, BracketFn&& bracket) {
+  const size_t num_queries = rows.size();
+  const size_t m = tau.num_weights();
+  std::vector<const double*> qrows(num_queries);
+  for (size_t qi = 0; qi < num_queries; ++qi) qrows[qi] = rows[qi].data();
+  std::vector<double> scores(num_queries * m);
+  auto stripe = [&](size_t begin, size_t end) {
+    tau.ScoreBlock(qrows.data(), num_queries, begin, end,
+                   scores.data() + begin, m);
+    bracket(begin, end, scores.data());
+  };
+  if (pool == nullptr || pool->thread_count() <= 1 || m < 1024) {
+    stripe(0, m);
+  } else {
+    pool->ParallelFor(0, m, TauStripeGrain(m, pool->thread_count()), stripe);
+  }
+  if (stats != nullptr) {
+    stats->weights_evaluated += m * num_queries;
+    stats->inner_products += m * num_queries;
+    stats->multiplications += m * num_queries * tau.dim();
+  }
+}
+
 }  // namespace
+
+std::vector<ConstRow> QueryRows(const Dataset& queries) {
+  std::vector<ConstRow> rows;
+  rows.reserve(queries.size());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    rows.push_back(queries.row(qi));
+  }
+  return rows;
+}
 
 GirIndex::GirIndex(const Dataset& points, const Dataset& weights,
                    GridIndex grid, ApproxVectors point_cells,
@@ -196,15 +234,11 @@ ReverseTopKResult GirIndex::ReverseTopK(ConstRow q, size_t k,
   // rank < 0 is unsatisfiable: answer empty without scanning (and without
   // counting scans), identically across every engine and batch shape.
   if (k == 0 || weights_->empty()) return {};
-  if (options_.scan_mode == ScanMode::kTauIndex) {
-    if (tau_ != nullptr && tau_->CanAnswerTopK(k)) {
-      return TauReverseTopK(q, k, /*pool=*/nullptr, stats);
-    }
-    // No τ-index attached, or k in the band (k_cap, |P|] the τ vector
-    // cannot answer: the blocked engine computes the same result exactly.
-    return BlockedReverseTopK(q, k, stats);
+  if (options_.scan_mode == ScanMode::kTauIndex && tau_ != nullptr) {
+    return TauReverseTopKBatch({&q, 1}, k, /*pool=*/nullptr, stats)[0];
   }
-  if (options_.scan_mode == ScanMode::kBlocked) {
+  // kTauIndex without an attached τ-index runs on the blocked engine.
+  if (options_.scan_mode != ScanMode::kWeightAtATime) {
     return BlockedReverseTopK(q, k, stats);
   }
   GinContext ctx{points_, &point_cells_, &grid_, options_.bound_mode};
@@ -268,13 +302,10 @@ ReverseTopKResult GirIndex::BlockedReverseTopK(ConstRow q, size_t k,
 ReverseKRanksResult GirIndex::ReverseKRanks(ConstRow q, size_t k,
                                             QueryStats* stats) const {
   if (k == 0 || weights_->empty()) return {};
-  if (options_.scan_mode == ScanMode::kTauIndex) {
-    if (tau_ != nullptr) {
-      return TauReverseKRanks(q, k, /*pool=*/nullptr, stats);
-    }
-    return BlockedReverseKRanks(q, k, stats);
+  if (options_.scan_mode == ScanMode::kTauIndex && tau_ != nullptr) {
+    return TauReverseKRanksBatch({&q, 1}, k, /*pool=*/nullptr, stats)[0];
   }
-  if (options_.scan_mode == ScanMode::kBlocked) {
+  if (options_.scan_mode != ScanMode::kWeightAtATime) {
     return BlockedReverseKRanks(q, k, stats);
   }
   GinContext ctx{points_, &point_cells_, &grid_, options_.bound_mode};
@@ -354,21 +385,18 @@ std::vector<ReverseTopKResult> GirIndex::ReverseTopKBatch(
   // answers empty with zero scans, so batch counters stay equal to the
   // sum of the equivalent per-query runs.
   if (num_queries == 0 || k == 0 || weights_->empty()) return results;
-  if (options_.scan_mode == ScanMode::kTauIndex && tau_ != nullptr &&
-      tau_->CanAnswerTopK(k)) {
-    return TauReverseTopKBatch(queries, k, /*pool=*/nullptr, stats);
+  const std::vector<ConstRow> rows = QueryRows(queries);
+  if (options_.scan_mode == ScanMode::kTauIndex && tau_ != nullptr) {
+    return TauReverseTopKBatch(rows, k, /*pool=*/nullptr, stats);
   }
   BlockedScanner scanner(*points_, point_cells_, *weights_, weight_cells_,
                          grid_, options_.bound_mode, {}, bmx_.get());
   const int64_t threshold = static_cast<int64_t>(k);
 
   std::vector<BlockedScanner::QueryContext> qctxs(num_queries);
-  std::vector<ConstRow> rows;
-  rows.reserve(num_queries);
   std::vector<uint8_t> alive(num_queries, 1);
   size_t alive_count = 0;
   for (size_t qi = 0; qi < num_queries; ++qi) {
-    rows.push_back(queries.row(qi));
     qctxs[qi] = scanner.MakeQueryContext(rows[qi], options_.use_domin);
     if (options_.use_domin && qctxs[qi].dominator_count >= threshold) {
       alive[qi] = 0;  // >= k dominators: empty answer, no scans needed
@@ -418,16 +446,14 @@ std::vector<ReverseKRanksResult> GirIndex::ReverseKRanksBatch(
   const size_t num_queries = queries.size();
   std::vector<ReverseKRanksResult> results(num_queries);
   if (num_queries == 0 || k == 0 || weights_->empty()) return results;
+  const std::vector<ConstRow> rows = QueryRows(queries);
   if (options_.scan_mode == ScanMode::kTauIndex && tau_ != nullptr) {
-    return TauReverseKRanksBatch(queries, k, /*pool=*/nullptr, stats);
+    return TauReverseKRanksBatch(rows, k, /*pool=*/nullptr, stats);
   }
   BlockedScanner scanner(*points_, point_cells_, *weights_, weight_cells_,
                          grid_, options_.bound_mode, {}, bmx_.get());
   std::vector<BlockedScanner::QueryContext> qctxs(num_queries);
-  std::vector<ConstRow> rows;
-  rows.reserve(num_queries);
   for (size_t qi = 0; qi < num_queries; ++qi) {
-    rows.push_back(queries.row(qi));
     qctxs[qi] = scanner.MakeQueryContext(rows[qi], options_.use_domin);
   }
   std::vector<std::vector<RankedWeight>> heaps(num_queries);
@@ -515,213 +541,163 @@ std::vector<ReverseKRanksResult> GirIndex::ReverseKRanksBatch(
   return results;
 }
 
-ReverseTopKResult GirIndex::TauReverseTopK(ConstRow q, size_t k,
-                                           ThreadPool* pool,
-                                           QueryStats* stats) const {
-  const TauIndex& tau = *tau_;
+std::vector<std::pair<size_t, RankedWeight>> GirIndex::MaskedFallback(
+    std::span<const ConstRow> rows, const std::vector<int64_t>& thresholds,
+    const std::vector<std::vector<RankedWeight>>* heaps, size_t k,
+    ThreadPool* pool, QueryStats* stats) const {
+  const size_t num_queries = rows.size();
   const size_t m = weights_->size();
-  ReverseTopKResult result;
-  if (pool == nullptr || pool->thread_count() <= 1 || m < 1024) {
-    tau.TopKRange(q, k, 0, m, result);
+  BlockedScanner scanner(*points_, point_cells_, *weights_, weight_cells_,
+                         grid_, options_.bound_mode, {}, bmx_.get());
+  const size_t batch = scanner.weight_batch();
+  std::vector<size_t> open(num_queries, 0);
+  std::vector<size_t> batch_starts;
+  for (size_t b = 0; b < m; b += batch) {
+    const size_t e = std::min(b + batch, m);
+    bool any = false;
+    for (size_t qi = 0; qi < num_queries; ++qi) {
+      for (size_t w = b; w < e; ++w) {
+        if (thresholds[qi * m + w] > 0) {
+          ++open[qi];
+          any = true;
+        }
+      }
+    }
+    if (any) batch_starts.push_back(b);
+  }
+  std::vector<std::pair<size_t, RankedWeight>> found;
+  if (batch_starts.empty()) return found;
+
+  // A query with no open slot keeps the empty context: all its thresholds
+  // are 0, which masks every slot before any scan. The dominance pass
+  // costs O(n·d) per query and only pays off over enough open weights;
+  // the answers are identical either way.
+  const bool parallel = pool != nullptr && pool->thread_count() > 1;
+  std::vector<BlockedScanner::QueryContext> qctxs(num_queries);
+  auto make_contexts = [&](size_t begin, size_t end) {
+    for (size_t qi = begin; qi < end; ++qi) {
+      if (open[qi] == 0) continue;
+      qctxs[qi] = scanner.MakeQueryContext(
+          rows[qi], options_.use_domin &&
+                        open[qi] >= BlockedScanner::kDominMinWeights);
+    }
+  };
+  if (parallel && num_queries > 1) {
+    pool->ParallelFor(0, num_queries, 1, make_contexts);
+  } else {
+    make_contexts(0, num_queries);
+  }
+
+  // Workers tighten private copies of the k-ranks heaps (pruning only) and
+  // return every exact rank they uncover; the k smallest of a multiset are
+  // insertion-order independent, so the caller's merge reproduces the
+  // serial answer.
+  auto scan_batches = [&](size_t bi_begin, size_t bi_end,
+                          std::vector<std::pair<size_t, RankedWeight>>& out,
+                          QueryStats* batch_stats) {
+    std::vector<std::vector<RankedWeight>> local_heaps;
+    if (heaps != nullptr) local_heaps = *heaps;
+    BlockedScratch scratch;
+    std::vector<int64_t> batch_thresholds;
+    std::vector<int64_t> ranks;
+    for (size_t bi = bi_begin; bi < bi_end; ++bi) {
+      const size_t b = batch_starts[bi];
+      const size_t bl = std::min(b + batch, m) - b;
+      batch_thresholds.resize(num_queries * bl);
+      ranks.resize(num_queries * bl);
+      for (size_t qi = 0; qi < num_queries; ++qi) {
+        int64_t cap = std::numeric_limits<int64_t>::max();
+        if (heaps != nullptr && local_heaps[qi].size() == k) {
+          cap = local_heaps[qi].front().rank + 1;
+        }
+        for (size_t i = 0; i < bl; ++i) {
+          batch_thresholds[qi * bl + i] =
+              std::min(thresholds[qi * m + b + i], cap);
+        }
+      }
+      scanner.PrepareBatch(b, b + bl, scratch);
+      scanner.RankPreparedMulti(rows.data(), qctxs.data(), num_queries, b,
+                                b + bl, batch_thresholds.data(), ranks.data(),
+                                scratch, batch_stats);
+      for (size_t qi = 0; qi < num_queries; ++qi) {
+        for (size_t i = 0; i < bl; ++i) {
+          // Masked slots (threshold 0) always come back over threshold.
+          if (ranks[qi * bl + i] == kRankOverThreshold) continue;
+          const RankedWeight entry{static_cast<VectorId>(b + i),
+                                   ranks[qi * bl + i]};
+          if (heaps != nullptr) PushRankedWeight(local_heaps[qi], k, entry);
+          out.emplace_back(qi, entry);
+        }
+      }
+    }
+  };
+
+  if (!parallel || batch_starts.size() < 8) {
+    scan_batches(0, batch_starts.size(), found, stats);
   } else {
     std::mutex merge_mutex;
     pool->ParallelFor(
-        0, m, TauStripeGrain(m, pool->thread_count()),
+        0, batch_starts.size(),
+        TauStripeGrain(batch_starts.size(), pool->thread_count()),
         [&](size_t begin, size_t end) {
-          ReverseTopKResult local;
-          tau.TopKRange(q, k, begin, end, local);
+          std::vector<std::pair<size_t, RankedWeight>> local;
+          QueryStats local_stats;
+          scan_batches(begin, end, local,
+                       stats != nullptr ? &local_stats : nullptr);
           std::lock_guard<std::mutex> lock(merge_mutex);
-          result.insert(result.end(), local.begin(), local.end());
+          found.insert(found.end(), local.begin(), local.end());
+          if (stats != nullptr) *stats += local_stats;
         });
-    std::sort(result.begin(), result.end());
   }
-  if (stats != nullptr) {
-    stats->weights_evaluated += m;
-    stats->inner_products += m;
-    stats->multiplications += m * dim();
-  }
-  return result;
-}
-
-ReverseKRanksResult GirIndex::TauReverseKRanks(ConstRow q, size_t k,
-                                               ThreadPool* pool,
-                                               QueryStats* stats) const {
-  if (k == 0 || weights_->empty()) return {};
-  const TauIndex& tau = *tau_;
-  const size_t m = weights_->size();
-  const int64_t no_bound = static_cast<int64_t>(points_->size());
-
-  // Pass 1 — O(|W|·d): score q under every weight and bracket each rank
-  // with the τ vector + histogram. Exact whenever rank < k_cap or the
-  // score pins to a single-count bin.
-  std::vector<double> scores(m);
-  std::vector<int64_t> lo(m);
-  std::vector<int64_t> hi(m);
-  auto bound_stripe = [&](size_t begin, size_t end) {
-    tau.ScoreRange(q, begin, end, scores.data() + begin);
-    for (size_t w = begin; w < end; ++w) {
-      const TauRankBounds bounds = tau.BoundRank(w, scores[w]);
-      lo[w] = bounds.lo;
-      hi[w] = bounds.hi;
-    }
-  };
-  if (pool == nullptr || pool->thread_count() <= 1 || m < 1024) {
-    bound_stripe(0, m);
-  } else {
-    pool->ParallelFor(0, m, TauStripeGrain(m, pool->thread_count()),
-                      bound_stripe);
-  }
-  if (stats != nullptr) {
-    stats->weights_evaluated += m;
-    stats->inner_products += m;
-    stats->multiplications += m * dim();
-  }
-
-  // The k-th smallest upper bound caps the answer's k-th rank: at least k
-  // weights have rank <= kth_hi, so any weight with lo > kth_hi is
-  // provably outside the answer (even under (rank, id) tie-breaking, which
-  // only ever admits rank <= the k-th smallest rank <= kth_hi).
-  int64_t kth_hi = no_bound;
-  if (m > k) {
-    std::vector<int64_t> tmp(hi);
-    std::nth_element(tmp.begin(), tmp.begin() + (k - 1), tmp.end());
-    kth_hi = tmp[k - 1];
-  }
-
-  std::vector<RankedWeight> heap;
-  heap.reserve(k + 1);
-  std::vector<uint8_t> unresolved(m, 0);
-  size_t unresolved_count = 0;
-  for (size_t w = 0; w < m; ++w) {
-    if (lo[w] > kth_hi) continue;
-    if (lo[w] == hi[w]) {
-      PushRankedWeight(heap, k,
-                       RankedWeight{static_cast<VectorId>(w), lo[w]});
-    } else {
-      unresolved[w] = 1;
-      ++unresolved_count;
-    }
-  }
-
-  if (unresolved_count > 0) {
-    // Pass 2 — blocked-scan fallback over the unresolved band only.
-    // Thresholds are capped at (current k-th bound) + 1, so every rank
-    // that could still enter the heap — including (rank, id) ties at the
-    // bound — comes back exact; anything over threshold is provably
-    // outside the answer.
-    BlockedScanner scanner(*points_, point_cells_, *weights_, weight_cells_,
-                           grid_, options_.bound_mode, {}, bmx_.get());
-    const BlockedScanner::QueryContext qctx =
-        scanner.MakeQueryContext(q, options_.use_domin);
-    const size_t batch = scanner.weight_batch();
-    std::vector<size_t> batch_starts;
-    for (size_t b = 0; b < m; b += batch) {
-      const size_t e = std::min(b + batch, m);
-      for (size_t w = b; w < e; ++w) {
-        if (unresolved[w] != 0) {
-          batch_starts.push_back(b);
-          break;
-        }
-      }
-    }
-
-    auto scan_batches = [&](size_t bi_begin, size_t bi_end,
-                            std::vector<RankedWeight>& local_heap,
-                            std::vector<RankedWeight>* collect,
-                            std::atomic<int64_t>* shared_bound,
-                            QueryStats* batch_stats) {
-      BlockedScratch scratch;
-      std::vector<int64_t> thresholds;
-      std::vector<int64_t> ranks;
-      for (size_t bi = bi_begin; bi < bi_end; ++bi) {
-        const size_t b = batch_starts[bi];
-        const size_t e = std::min(b + batch, m);
-        int64_t cap = kth_hi;
-        if (local_heap.size() == k) {
-          cap = std::min(cap, local_heap.front().rank);
-        }
-        if (shared_bound != nullptr) {
-          cap = std::min(cap,
-                         shared_bound->load(std::memory_order_relaxed));
-        }
-        thresholds.resize(e - b);
-        ranks.resize(e - b);
-        for (size_t i = 0; i < e - b; ++i) {
-          // Threshold 0 masks resolved slots instantly (the dominator
-          // count is always >= 0), so only the unresolved slots cost.
-          thresholds[i] = unresolved[b + i] != 0 ? cap + 1 : 0;
-        }
-        scanner.RankBatch(q, qctx, b, e, thresholds.data(), ranks.data(),
-                          scratch, batch_stats);
-        for (size_t i = 0; i < e - b; ++i) {
-          if (unresolved[b + i] == 0 || ranks[i] == kRankOverThreshold) {
-            continue;
-          }
-          const RankedWeight entry{static_cast<VectorId>(b + i), ranks[i]};
-          PushRankedWeight(local_heap, k, entry);
-          if (collect != nullptr) collect->push_back(entry);
-        }
-        if (shared_bound != nullptr && local_heap.size() == k) {
-          int64_t current = shared_bound->load(std::memory_order_relaxed);
-          const int64_t candidate = local_heap.front().rank;
-          while (candidate < current &&
-                 !shared_bound->compare_exchange_weak(
-                     current, candidate, std::memory_order_relaxed)) {
-          }
-        }
-      }
-    };
-
-    if (pool == nullptr || pool->thread_count() <= 1 ||
-        batch_starts.size() < 8) {
-      scan_batches(0, batch_starts.size(), heap, nullptr, nullptr, stats);
-    } else {
-      std::atomic<int64_t> shared_bound{
-          heap.size() == k ? std::min(kth_hi, heap.front().rank) : kth_hi};
-      std::mutex merge_mutex;
-      std::vector<RankedWeight> found;
-      pool->ParallelFor(
-          0, batch_starts.size(),
-          TauStripeGrain(batch_starts.size(), pool->thread_count()),
-          [&](size_t begin, size_t end) {
-            // Each worker tightens a private copy of the exact-bound heap
-            // (pruning only); every exact rank it uncovers is collected
-            // and merged below — the k smallest of a multiset are
-            // insertion-order independent, so the merged heap matches the
-            // serial one.
-            std::vector<RankedWeight> local_heap = heap;
-            std::vector<RankedWeight> local_found;
-            QueryStats local_stats;
-            scan_batches(begin, end, local_heap, &local_found,
-                         &shared_bound,
-                         stats != nullptr ? &local_stats : nullptr);
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            found.insert(found.end(), local_found.begin(),
-                         local_found.end());
-            if (stats != nullptr) *stats += local_stats;
-          });
-      for (const RankedWeight& entry : found) {
-        PushRankedWeight(heap, k, entry);
-      }
-    }
-  }
-
-  std::sort(heap.begin(), heap.end());
-  return heap;
+  return found;
 }
 
 std::vector<ReverseTopKResult> GirIndex::TauReverseTopKBatch(
-    const Dataset& queries, size_t k, ThreadPool* pool,
+    std::span<const ConstRow> rows, size_t k, ThreadPool* pool,
     QueryStats* stats) const {
   const TauIndex& tau = *tau_;
-  const size_t num_queries = queries.size();
+  const size_t num_queries = rows.size();
   const size_t m = weights_->size();
   std::vector<ReverseTopKResult> results(num_queries);
-  if (num_queries == 0) return results;
-  std::vector<const double*> qrows(num_queries);
-  for (size_t qi = 0; qi < num_queries; ++qi) {
-    qrows[qi] = queries.row(qi).data();
+  if (num_queries == 0 || k == 0 || m == 0) return results;
+
+  if (!tau.CanAnswerTopK(k)) {
+    // k in the band (k_cap, |P|]: τ_k is not materialized, but the
+    // histogram brackets every rank. lo >= k settles a weight out and
+    // hi < k settles it in; only the straddling slots pay a blocked scan.
+    const int64_t kk = static_cast<int64_t>(k);
+    std::vector<uint8_t> member(num_queries * m, 0);
+    std::vector<int64_t> thresholds(num_queries * m, 0);
+    TauBracketPass(tau, rows, pool, stats,
+                   [&](size_t begin, size_t end, const double* scores) {
+                     for (size_t qi = 0; qi < num_queries; ++qi) {
+                       for (size_t w = begin; w < end; ++w) {
+                         const size_t s = qi * m + w;
+                         if (tau.RankLowerBound(w, scores[s]) >= kk) continue;
+                         if (tau.BoundRank(w, scores[s]).hi < kk) {
+                           member[s] = 1;
+                         } else {
+                           thresholds[s] = kk;
+                         }
+                       }
+                     }
+                   });
+    for (const auto& [qi, entry] : MaskedFallback(
+             rows, thresholds, /*heaps=*/nullptr, k, pool, stats)) {
+      member[qi * m + entry.weight_id] = 1;
+    }
+    for (size_t qi = 0; qi < num_queries; ++qi) {
+      for (size_t w = 0; w < m; ++w) {
+        if (member[qi * m + w] != 0) {
+          results[qi].push_back(static_cast<VectorId>(w));
+        }
+      }
+    }
+    return results;
   }
+
+  std::vector<const double*> qrows(num_queries);
+  for (size_t qi = 0; qi < num_queries; ++qi) qrows[qi] = rows[qi].data();
   if (pool == nullptr || pool->thread_count() <= 1 || m < 1024) {
     tau.TopKBatchRange(qrows.data(), num_queries, k, 0, m, results.data());
   } else {
@@ -751,184 +727,70 @@ std::vector<ReverseTopKResult> GirIndex::TauReverseTopKBatch(
 }
 
 std::vector<ReverseKRanksResult> GirIndex::TauReverseKRanksBatch(
-    const Dataset& queries, size_t k, ThreadPool* pool,
+    std::span<const ConstRow> rows, size_t k, ThreadPool* pool,
     QueryStats* stats) const {
-  const size_t num_queries = queries.size();
-  std::vector<ReverseKRanksResult> results(num_queries);
-  if (num_queries == 0 || k == 0 || weights_->empty()) return results;
   const TauIndex& tau = *tau_;
+  const size_t num_queries = rows.size();
   const size_t m = weights_->size();
-  const int64_t no_bound = static_cast<int64_t>(points_->size());
+  std::vector<ReverseKRanksResult> results(num_queries);
+  if (num_queries == 0 || k == 0 || m == 0) return results;
 
-  // Pass 1 — one tiled Q x W sweep scores every query under every weight,
-  // then the τ vector + histogram bracket each (query, weight) rank.
-  std::vector<const double*> qrows(num_queries);
-  for (size_t qi = 0; qi < num_queries; ++qi) {
-    qrows[qi] = queries.row(qi).data();
-  }
-  std::vector<double> scores(num_queries * m);
+  // Pass 1: the τ vector + histogram bracket each (query, weight) rank.
   std::vector<int64_t> lo(num_queries * m);
   std::vector<int64_t> hi(num_queries * m);
-  auto bound_stripe = [&](size_t begin, size_t end) {
-    tau.ScoreBlock(qrows.data(), num_queries, begin, end,
-                   scores.data() + begin, m);
-    for (size_t qi = 0; qi < num_queries; ++qi) {
-      for (size_t w = begin; w < end; ++w) {
-        const TauRankBounds bounds = tau.BoundRank(w, scores[qi * m + w]);
-        lo[qi * m + w] = bounds.lo;
-        hi[qi * m + w] = bounds.hi;
-      }
-    }
-  };
-  if (pool == nullptr || pool->thread_count() <= 1 || m < 1024) {
-    bound_stripe(0, m);
-  } else {
-    pool->ParallelFor(0, m, TauStripeGrain(m, pool->thread_count()),
-                      bound_stripe);
-  }
-  if (stats != nullptr) {
-    stats->weights_evaluated += m * num_queries;
-    stats->inner_products += m * num_queries;
-    stats->multiplications += m * num_queries * dim();
-  }
+  TauBracketPass(tau, rows, pool, stats,
+                 [&](size_t begin, size_t end, const double* scores) {
+                   for (size_t qi = 0; qi < num_queries; ++qi) {
+                     for (size_t w = begin; w < end; ++w) {
+                       const TauRankBounds bounds =
+                           tau.BoundRank(w, scores[qi * m + w]);
+                       lo[qi * m + w] = bounds.lo;
+                       hi[qi * m + w] = bounds.hi;
+                     }
+                   }
+                 });
 
-  // Per query: seed the heap with the exactly-bounded ranks and cap the
-  // fallback at (k-th upper bound, heap bound) as in TauReverseKRanks.
-  // The caps stay fixed for the whole fallback (instead of self-refining
-  // per batch): a looser threshold only converts over-threshold verdicts
-  // into exact ranks, and any rank >= cap + 1 is provably outside the
-  // final heap, so the answer is unchanged.
+  // Per query, the k-th smallest upper bound caps the answer's k-th rank:
+  // at least k weights have rank <= kth_hi, so a weight with lo > kth_hi
+  // is provably outside the answer (even under (rank, id) tie-breaking,
+  // which only admits rank <= the k-th smallest rank <= kth_hi). Exactly
+  // bracketed ranks seed the heap; the rest are scanned with threshold
+  // cap + 1, so every rank that could still enter the heap — including
+  // (rank, id) ties at the cap — comes back exact.
   std::vector<std::vector<RankedWeight>> heaps(num_queries);
-  std::vector<uint8_t> unresolved(num_queries * m, 0);
-  std::vector<int64_t> caps(num_queries);
-  size_t unresolved_count = 0;
+  std::vector<int64_t> thresholds(num_queries * m, 0);
   std::vector<int64_t> tmp;
   for (size_t qi = 0; qi < num_queries; ++qi) {
-    int64_t kth_hi = no_bound;
+    const int64_t* qlo = lo.data() + qi * m;
+    const int64_t* qhi = hi.data() + qi * m;
+    int64_t kth_hi = static_cast<int64_t>(points_->size());
     if (m > k) {
-      tmp.assign(hi.begin() + qi * m, hi.begin() + (qi + 1) * m);
+      tmp.assign(qhi, qhi + m);
       std::nth_element(tmp.begin(), tmp.begin() + (k - 1), tmp.end());
       kth_hi = tmp[k - 1];
     }
     std::vector<RankedWeight>& heap = heaps[qi];
     heap.reserve(k + 1);
     for (size_t w = 0; w < m; ++w) {
-      if (lo[qi * m + w] > kth_hi) continue;
-      if (lo[qi * m + w] == hi[qi * m + w]) {
-        PushRankedWeight(
-            heap, k, RankedWeight{static_cast<VectorId>(w), lo[qi * m + w]});
-      } else {
-        unresolved[qi * m + w] = 1;
-        ++unresolved_count;
+      if (qlo[w] <= kth_hi && qlo[w] == qhi[w]) {
+        PushRankedWeight(heap, k,
+                         RankedWeight{static_cast<VectorId>(w), qlo[w]});
       }
     }
-    caps[qi] = heap.size() == k ? std::min(kth_hi, heap.front().rank)
-                                : kth_hi;
-  }
-
-  if (unresolved_count > 0) {
-    // Pass 2 — one shared blocked fallback: every weight batch with any
-    // unresolved (query, weight) slot runs once through
-    // RankPreparedMulti; resolved slots are masked with threshold 0.
-    BlockedScanner scanner(*points_, point_cells_, *weights_, weight_cells_,
-                           grid_, options_.bound_mode, {}, bmx_.get());
-    std::vector<ConstRow> rows;
-    rows.reserve(num_queries);
-    std::vector<BlockedScanner::QueryContext> qctxs(num_queries);
-    for (size_t qi = 0; qi < num_queries; ++qi) {
-      rows.push_back(queries.row(qi));
-      qctxs[qi] = scanner.MakeQueryContext(rows[qi], options_.use_domin);
-    }
-    const size_t batch = scanner.weight_batch();
-    std::vector<size_t> batch_starts;
-    for (size_t b = 0; b < m; b += batch) {
-      const size_t e = std::min(b + batch, m);
-      bool any = false;
-      for (size_t qi = 0; qi < num_queries && !any; ++qi) {
-        for (size_t w = b; w < e; ++w) {
-          if (unresolved[qi * m + w] != 0) {
-            any = true;
-            break;
-          }
-        }
-      }
-      if (any) batch_starts.push_back(b);
-    }
-
-    // Workers refine private copies of the heaps/caps (pruning only) and
-    // collect every exact rank they uncover; the k smallest of a multiset
-    // are insertion-order independent, so merging reproduces the serial
-    // per-query answer.
-    auto scan_batches = [&](size_t bi_begin, size_t bi_end,
-                            std::vector<std::vector<RankedWeight>>& lheaps,
-                            std::vector<int64_t>& lcaps,
-                            std::vector<std::pair<size_t, RankedWeight>>*
-                                collect,
-                            QueryStats* batch_stats) {
-      BlockedScratch scratch;
-      std::vector<int64_t> thresholds;
-      std::vector<int64_t> ranks;
-      for (size_t bi = bi_begin; bi < bi_end; ++bi) {
-        const size_t b = batch_starts[bi];
-        const size_t e = std::min(b + batch, m);
-        const size_t bl = e - b;
-        thresholds.resize(num_queries * bl);
-        ranks.resize(num_queries * bl);
-        for (size_t qi = 0; qi < num_queries; ++qi) {
-          for (size_t i = 0; i < bl; ++i) {
-            thresholds[qi * bl + i] =
-                unresolved[qi * m + b + i] != 0 ? lcaps[qi] + 1 : 0;
-          }
-        }
-        scanner.PrepareBatch(b, e, scratch);
-        scanner.RankPreparedMulti(rows.data(), qctxs.data(), num_queries, b,
-                                  e, thresholds.data(), ranks.data(),
-                                  scratch, batch_stats);
-        for (size_t qi = 0; qi < num_queries; ++qi) {
-          for (size_t i = 0; i < bl; ++i) {
-            if (unresolved[qi * m + b + i] == 0 ||
-                ranks[qi * bl + i] == kRankOverThreshold) {
-              continue;
-            }
-            const RankedWeight entry{static_cast<VectorId>(b + i),
-                                     ranks[qi * bl + i]};
-            PushRankedWeight(lheaps[qi], k, entry);
-            if (collect != nullptr) collect->emplace_back(qi, entry);
-          }
-          if (lheaps[qi].size() == k) {
-            lcaps[qi] = std::min(lcaps[qi], lheaps[qi].front().rank);
-          }
-        }
-      }
-    };
-
-    if (pool == nullptr || pool->thread_count() <= 1 ||
-        batch_starts.size() < 8) {
-      scan_batches(0, batch_starts.size(), heaps, caps, nullptr, stats);
-    } else {
-      std::mutex merge_mutex;
-      std::vector<std::pair<size_t, RankedWeight>> found;
-      pool->ParallelFor(
-          0, batch_starts.size(),
-          TauStripeGrain(batch_starts.size(), pool->thread_count()),
-          [&](size_t begin, size_t end) {
-            std::vector<std::vector<RankedWeight>> local_heaps = heaps;
-            std::vector<int64_t> local_caps = caps;
-            std::vector<std::pair<size_t, RankedWeight>> local_found;
-            QueryStats local_stats;
-            scan_batches(begin, end, local_heaps, local_caps, &local_found,
-                         stats != nullptr ? &local_stats : nullptr);
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            found.insert(found.end(), local_found.begin(),
-                         local_found.end());
-            if (stats != nullptr) *stats += local_stats;
-          });
-      for (const auto& [qi, entry] : found) {
-        PushRankedWeight(heaps[qi], k, entry);
+    const int64_t cap =
+        heap.size() == k ? std::min(kth_hi, heap.front().rank) : kth_hi;
+    for (size_t w = 0; w < m; ++w) {
+      if (qlo[w] <= kth_hi && qlo[w] != qhi[w]) {
+        thresholds[qi * m + w] = cap + 1;
       }
     }
   }
 
+  // Pass 2: the shared masked fallback over the open slots only.
+  for (const auto& [qi, entry] :
+       MaskedFallback(rows, thresholds, &heaps, k, pool, stats)) {
+    PushRankedWeight(heaps[qi], k, entry);
+  }
   for (size_t qi = 0; qi < num_queries; ++qi) {
     std::sort(heaps[qi].begin(), heaps[qi].end());
     results[qi] = std::move(heaps[qi]);

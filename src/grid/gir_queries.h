@@ -2,7 +2,11 @@
 #define GIR_GRID_GIR_QUERIES_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "core/counters.h"
 #include "core/dataset.h"
@@ -17,6 +21,9 @@
 namespace gir {
 
 class ThreadPool;
+
+/// Row views of every query in `queries`, the form the batch engines take.
+std::vector<ConstRow> QueryRows(const Dataset& queries);
 
 /// How GirIndex executes a query's scan over (W × P).
 enum class ScanMode {
@@ -33,10 +40,10 @@ enum class ScanMode {
   /// k <= GirOptions::tau.k_max is a single O(|W|·d) threshold pass with
   /// no product scan; reverse k-ranks brackets every rank with the score
   /// histograms and falls back to the blocked engine only for the
-  /// unresolved band. Results remain bit-identical to the other modes
-  /// (DESIGN.md §10). Queries the τ vector cannot answer (k_max < k <=
-  /// |P| reverse top-k), or issued before a τ-index is built or attached,
-  /// run on the blocked engine.
+  /// unresolved band — as does reverse top-k for k_max < k <= |P|, the
+  /// band the τ vector does not cover. Results remain bit-identical to
+  /// the other modes (DESIGN.md §10). Queries issued before a τ-index is
+  /// built or attached run on the blocked engine.
   kTauIndex,
 };
 
@@ -123,11 +130,11 @@ class GirIndex {
   /// of width dim()) as one multi-query execution — the shape a serving
   /// loop draining a request queue needs. results[i] equals
   /// ReverseTopK(queries.row(i), k). Under kTauIndex (with an attached
-  /// τ-index that answers k) the whole query block is scored against W in
-  /// register-tiled sweeps (TauIndex::TopKBatchRange); otherwise the
-  /// blocked engine resolves the block via RankPreparedMulti, streaming
-  /// each point block and accumulating each weight's bounds once per
-  /// query batch instead of once per query.
+  /// τ-index) the whole query block is scored against W in register-tiled
+  /// sweeps, and k beyond the τ vector scans only the slots its histogram
+  /// cannot settle; otherwise the blocked engine resolves the block via
+  /// RankPreparedMulti, streaming each point block and accumulating each
+  /// weight's bounds once per query batch instead of once per query.
   std::vector<ReverseTopKResult> ReverseTopKBatch(
       const Dataset& queries, size_t k, QueryStats* stats = nullptr) const;
 
@@ -137,6 +144,23 @@ class GirIndex {
   /// under kTauIndex, RankPreparedMulti otherwise.
   std::vector<ReverseKRanksResult> ReverseKRanksBatch(
       const Dataset& queries, size_t k, QueryStats* stats = nullptr) const;
+
+  /// The blocked engine over only the open (query, weight) slots: pass 2
+  /// of every τ-bracketed query (DESIGN.md §10) and of the dynamic
+  /// index's dirty paths. It runs PrepareBatch + RankPreparedMulti over
+  /// just the weight batches that hold an open slot. `thresholds` is
+  /// rows.size() x |W|, row-major; slot (q, w) is scanned with threshold
+  /// thresholds[q * |W| + w], and 0 masks a settled slot at no scan cost.
+  /// Returns (query, {w, rank}) for every slot whose exact rank came back
+  /// below its threshold, in no particular order. With `heaps` (reverse
+  /// k-ranks seeds, at most k entries each), every worker also caps a
+  /// query's thresholds at its private heap's k-th rank + 1 — pruning
+  /// only, so merging the returned ranks into the seeds is exact. `pool`
+  /// != nullptr stripes the weight batches.
+  std::vector<std::pair<size_t, RankedWeight>> MaskedFallback(
+      std::span<const ConstRow> rows, const std::vector<int64_t>& thresholds,
+      const std::vector<std::vector<RankedWeight>>* heaps, size_t k,
+      ThreadPool* pool, QueryStats* stats) const;
 
   const Dataset& points() const { return *points_; }
   const Dataset& weights() const { return *weights_; }
@@ -188,26 +212,19 @@ class GirIndex {
   ReverseKRanksResult BlockedReverseKRanks(ConstRow q, size_t k,
                                            QueryStats* stats) const;
 
-  /// ScanMode::kTauIndex implementations. `pool` != nullptr stripes the
-  /// O(|W|) passes over its workers (the parallel_gir drivers); nullptr
-  /// runs on the calling thread. TauReverseTopK requires
-  /// tau_->CanAnswerTopK(k) — the dispatchers route the remaining band to
-  /// the blocked engine.
-  ReverseTopKResult TauReverseTopK(ConstRow q, size_t k, ThreadPool* pool,
-                                   QueryStats* stats) const;
-  ReverseKRanksResult TauReverseKRanks(ConstRow q, size_t k, ThreadPool* pool,
-                                       QueryStats* stats) const;
-
-  /// Batch τ paths: one tiled Q x W scoring sweep instead of Q passes.
-  /// TauReverseTopKBatch requires tau_->CanAnswerTopK(k);
-  /// TauReverseKRanksBatch routes each query's unresolved band through one
-  /// shared RankPreparedMulti fallback.
-  std::vector<ReverseTopKResult> TauReverseTopKBatch(const Dataset& queries,
-                                                     size_t k,
-                                                     ThreadPool* pool,
-                                                     QueryStats* stats) const;
+  /// ScanMode::kTauIndex implementations (DESIGN.md §10) for a block of
+  /// query rows; a single query runs as a batch of one. One tiled Q x W
+  /// scoring sweep answers reverse top-k for k the τ vector covers. Every
+  /// other query brackets each (query, weight) rank with the τ vector and
+  /// histogram, and only the slots the bracket cannot settle go through
+  /// MaskedFallback. `pool` != nullptr stripes both passes over its
+  /// workers (the parallel_gir drivers); nullptr runs on the calling
+  /// thread.
+  std::vector<ReverseTopKResult> TauReverseTopKBatch(
+      std::span<const ConstRow> rows, size_t k, ThreadPool* pool,
+      QueryStats* stats) const;
   std::vector<ReverseKRanksResult> TauReverseKRanksBatch(
-      const Dataset& queries, size_t k, ThreadPool* pool,
+      std::span<const ConstRow> rows, size_t k, ThreadPool* pool,
       QueryStats* stats) const;
 
   friend ReverseTopKResult ParallelReverseTopK(const GirIndex& index,

@@ -165,10 +165,7 @@ void MakeQueryContexts(const GirIndex& index, const BlockedScanner& scanner,
                        std::vector<ConstRow>& rows,
                        std::vector<BlockedScanner::QueryContext>& qctxs) {
   const size_t num_queries = queries.size();
-  rows.reserve(num_queries);
-  for (size_t qi = 0; qi < num_queries; ++qi) {
-    rows.push_back(queries.row(qi));
-  }
+  rows = QueryRows(queries);
   qctxs.resize(num_queries);
   pool.ParallelFor(0, num_queries, 1, [&](size_t begin, size_t end) {
     for (size_t qi = begin; qi < end; ++qi) {
@@ -358,13 +355,11 @@ ReverseTopKResult ParallelReverseTopK(const GirIndex& index, ConstRow q,
                                       size_t k, ThreadPool& pool,
                                       QueryStats* stats) {
   if (k == 0 || index.weights().empty()) return {};
-  if (index.options().scan_mode == ScanMode::kTauIndex) {
-    if (index.tau_index() != nullptr && index.tau_index()->CanAnswerTopK(k)) {
-      return index.TauReverseTopK(q, k, &pool, stats);
-    }
-    return ParallelBlockedReverseTopK(index, q, k, pool, stats);
+  if (index.options().scan_mode == ScanMode::kTauIndex &&
+      index.tau_index() != nullptr) {
+    return index.TauReverseTopKBatch({&q, 1}, k, &pool, stats)[0];
   }
-  if (index.options().scan_mode == ScanMode::kBlocked) {
+  if (index.options().scan_mode != ScanMode::kWeightAtATime) {
     return ParallelBlockedReverseTopK(index, q, k, pool, stats);
   }
   const Dataset& points = index.points();
@@ -421,13 +416,11 @@ ReverseKRanksResult ParallelReverseKRanks(const GirIndex& index, ConstRow q,
   const Dataset& points = index.points();
   const Dataset& weights = index.weights();
   if (k == 0 || weights.empty()) return {};
-  if (index.options().scan_mode == ScanMode::kTauIndex) {
-    if (index.tau_index() != nullptr) {
-      return index.TauReverseKRanks(q, k, &pool, stats);
-    }
-    return ParallelBlockedReverseKRanks(index, q, k, pool, stats);
+  if (index.options().scan_mode == ScanMode::kTauIndex &&
+      index.tau_index() != nullptr) {
+    return index.TauReverseKRanksBatch({&q, 1}, k, &pool, stats)[0];
   }
-  if (index.options().scan_mode == ScanMode::kBlocked) {
+  if (index.options().scan_mode != ScanMode::kWeightAtATime) {
     return ParallelBlockedReverseKRanks(index, q, k, pool, stats);
   }
   GinContext ctx{&points, &index.point_cells(), &index.grid(),
@@ -493,8 +486,8 @@ std::vector<ReverseTopKResult> ParallelReverseTopKBatch(
     return std::vector<ReverseTopKResult>(queries.size());
   }
   if (index.options().scan_mode == ScanMode::kTauIndex &&
-      index.tau_index() != nullptr && index.tau_index()->CanAnswerTopK(k)) {
-    return index.TauReverseTopKBatch(queries, k, &pool, stats);
+      index.tau_index() != nullptr) {
+    return index.TauReverseTopKBatch(QueryRows(queries), k, &pool, stats);
   }
   // The batched entry points always run the blocked engine outside τ —
   // the same engine selection as GirIndex::ReverseTopKBatch.
@@ -511,7 +504,7 @@ std::vector<ReverseKRanksResult> ParallelReverseKRanksBatch(
   }
   if (index.options().scan_mode == ScanMode::kTauIndex &&
       index.tau_index() != nullptr) {
-    return index.TauReverseKRanksBatch(queries, k, &pool, stats);
+    return index.TauReverseKRanksBatch(QueryRows(queries), k, &pool, stats);
   }
   return ParallelBlockedReverseKRanksBatch(index, queries, k, pool, stats);
 }

@@ -240,22 +240,6 @@ Result<TauIndex> TauIndex::FromParts(const Dataset& weights, size_t num_points,
   return index;
 }
 
-void TauIndex::ScoreRange(ConstRow q, size_t w_begin, size_t w_end,
-                          double* scores) const {
-  const size_t m = num_weights_;
-  for (size_t c0 = w_begin; c0 < w_end; c0 += kScoreChunk) {
-    const size_t len = std::min(kScoreChunk, w_end - c0);
-    double* acc = scores + (c0 - w_begin);
-    std::memset(acc, 0, len * sizeof(double));
-    for (size_t i = 0; i < dim_; ++i) {
-      // q[i] * w[i] rounds identically to w[i] * q[i], so these scores
-      // match InnerProduct(w, q) bit-for-bit.
-      simd::AccumulateScaledDoubles(wcol_.data() + i * m + c0, q[i], acc,
-                                    len);
-    }
-  }
-}
-
 void TauIndex::ScoreBlock(const double* const* queries, size_t num_queries,
                           size_t w_begin, size_t w_end, double* scores,
                           size_t stride) const {
@@ -295,42 +279,6 @@ void TauIndex::TopKBatchRange(const double* const* queries,
       }
     }
   }
-}
-
-void TauIndex::TopKRange(ConstRow q, size_t k, size_t w_begin, size_t w_end,
-                         ReverseTopKResult& out) const {
-  if (k == 0 || w_begin >= w_end) return;
-  if (k > num_points_) {
-    // Every rank is <= |P| < k: all weights retain q.
-    for (size_t w = w_begin; w < w_end; ++w) {
-      out.push_back(static_cast<VectorId>(w));
-    }
-    return;
-  }
-  const double* tau_k = tau_.data() + (k - 1) * num_weights_;
-  double scores[kScoreChunk];
-  uint32_t selected[kScoreChunk];
-  for (size_t c0 = w_begin; c0 < w_end; c0 += kScoreChunk) {
-    const size_t len = std::min(kScoreChunk, w_end - c0);
-    ScoreRange(q, c0, c0 + len, scores);
-    const size_t cnt =
-        simd::SelectLessEqual(scores, tau_k + c0, len, selected);
-    for (size_t t = 0; t < cnt; ++t) {
-      out.push_back(static_cast<VectorId>(c0 + selected[t]));
-    }
-  }
-}
-
-ReverseTopKResult TauIndex::ReverseTopK(ConstRow q, size_t k,
-                                        QueryStats* stats) const {
-  ReverseTopKResult result;
-  TopKRange(q, k, 0, num_weights_, result);
-  if (stats != nullptr) {
-    stats->weights_evaluated += num_weights_;
-    stats->inner_products += num_weights_;
-    stats->multiplications += num_weights_ * dim_;
-  }
-  return result;
 }
 
 int64_t TauIndex::RankLowerBound(size_t w, double score) const {

@@ -83,38 +83,23 @@ class TauIndex {
 
   /// True if the τ vector answers reverse top-k for this k exactly:
   /// k == 0 (empty answer), k <= k_cap() (threshold test), or k > |P|
-  /// (every rank is < k). The remaining band k_cap() < k <= |P| needs a
-  /// scan engine.
+  /// (every rank is < k). In the remaining band k_cap() < k <= |P|,
+  /// RankLowerBound/BoundRank settle most weights and a scan engine
+  /// decides the rest (GirIndex, DESIGN.md §10).
   bool CanAnswerTopK(size_t k) const {
     return k == 0 || k <= k_cap_ || k > num_points_;
   }
 
-  /// Reverse top-k over all of W. Precondition: CanAnswerTopK(k) and
-  /// q.size() == dim(). Identical to NaiveReverseTopK.
-  ReverseTopKResult ReverseTopK(ConstRow q, size_t k,
-                                QueryStats* stats = nullptr) const;
-
-  /// Appends the qualifying ids of weights [w_begin, w_end) to `out` in
-  /// ascending order — the striped unit the parallel driver fans out.
-  /// Precondition: CanAnswerTopK(k).
-  void TopKRange(ConstRow q, size_t k, size_t w_begin, size_t w_end,
-                 ReverseTopKResult& out) const;
-
-  /// scores[i] = f_{w_begin+i}(q) for i in [0, w_end - w_begin), computed
-  /// in 16-weight-wide SIMD batches over the column mirror of W.
-  void ScoreRange(ConstRow q, size_t w_begin, size_t w_end,
-                  double* scores) const;
-
   /// Multi-query scoring: scores[r * stride + i] = f_{w_begin+i}(q_r) for
   /// each of the `num_queries` rows in `queries`, one register-tiled sweep
   /// over the column mirror of W (core/simd.h ScoreTileColumns) so every
-  /// weight column loaded feeds the whole query block. Same rounding as
-  /// ScoreRange — bit-identical to InnerProduct(w, q).
+  /// weight column loaded feeds the whole query block. Bit-identical to
+  /// InnerProduct(w, q).
   void ScoreBlock(const double* const* queries, size_t num_queries,
                   size_t w_begin, size_t w_end, double* scores,
                   size_t stride) const;
 
-  /// Batch analogue of TopKRange: resolves the whole query block against
+  /// Reverse top-k for a query block: resolves every row against
   /// weights [w_begin, w_end) chunk by chunk — one tiled scoring sweep,
   /// then the τ_k membership test per query row — appending qualifying
   /// ids to results[r] in ascending order. Precondition: CanAnswerTopK(k).

@@ -1,6 +1,7 @@
 #include "io/atomic_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -55,7 +56,24 @@ Status FsyncParentDir(const std::string& path) {
 Status AtomicWriteFile(
     const std::string& path,
     const std::function<Status(std::ostream&)>& write_fn) {
-  const std::string tmp = path + ".tmp";
+  // A unique temp name per call: concurrent writers of one path (the
+  // checkpointer and a CLI save, or parallel test processes) never write
+  // through, or rename away, each other's half-written file.
+  std::string tmp = path + ".tmp.XXXXXX";
+  const int fd = ::mkstemp(tmp.data());
+  if (fd < 0) {
+    return Status::IOError("cannot create temp file for " + path + ": " +
+                           std::strerror(errno));
+  }
+  // mkstemp creates the file 0600; the published file gets the usual 0644.
+  const int chmod_rc = ::fchmod(fd, 0644);
+  const int chmod_errno = errno;
+  ::close(fd);
+  if (chmod_rc != 0) {
+    std::remove(tmp.c_str());
+    return Status::IOError("cannot chmod " + tmp + ": " +
+                           std::strerror(chmod_errno));
+  }
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {

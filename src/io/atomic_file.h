@@ -11,13 +11,14 @@ namespace gir {
 
 /// Atomically replaces `path` with whatever `write_fn` streams out.
 ///
-/// The contents land in a same-directory temp file first (`path + ".tmp"`
-/// — same directory so the final rename never crosses a filesystem), the
-/// temp file is fsync'd, renamed over `path`, and the parent directory is
-/// fsync'd so the rename itself is durable. A crash or full disk at any
-/// point leaves either the old file or the new one — never a truncated
-/// hybrid, which is exactly the failure the in-place `std::ios::trunc`
-/// writers this replaces could produce.
+/// The contents land in a same-directory temp file first (a unique
+/// `path + ".tmp.XXXXXX"` from mkstemp, so concurrent writers of one path
+/// never share it; same directory so the final rename never crosses a
+/// filesystem), the temp file is fsync'd, renamed over `path`, and the
+/// parent directory is fsync'd so the rename itself is durable. A crash
+/// or full disk at any point leaves either the old file or the new one —
+/// never a truncated hybrid, which is exactly the failure the in-place
+/// `std::ios::trunc` writers this replaces could produce.
 ///
 /// `write_fn` receives a binary ostream and returns a Status; a failed
 /// stream (short write, ENOSPC) surfaces as IOError even when `write_fn`

@@ -88,8 +88,9 @@ std::string ServerMetrics::Render() const {
   AppendLine(&out, "latency_p50_us_le", Quantile(latency_hist_, 0.50));
   AppendLine(&out, "latency_p99_us_le", Quantile(latency_hist_, 0.99));
   // Result-cache effectiveness (server/result_cache.h): hits served
-  // without a scan, misses that fell through, entries an invalidation
-  // pass extended across a mutation vs dropped, and the live footprint.
+  // without a scan, misses that fell through, answers the admission
+  // doorkeeper kept out, entries an invalidation pass extended across a
+  // mutation vs dropped, and the live footprint.
   const uint64_t hits = cache_hits_.load(kRelaxed);
   const uint64_t misses = cache_misses_.load(kRelaxed);
   AppendLine(&out, "cache_hits", hits);
@@ -97,6 +98,8 @@ std::string ServerMetrics::Render() const {
   AppendLine(&out, "cache_hit_rate_pct",
              hits + misses > 0 ? hits * 100 / (hits + misses) : 0);
   AppendLine(&out, "cache_evictions", cache_evictions_.load(kRelaxed));
+  AppendLine(&out, "cache_admission_skips",
+             cache_admission_skips_.load(kRelaxed));
   AppendLine(&out, "cache_extensions", cache_extensions_.load(kRelaxed));
   AppendLine(&out, "cache_invalidations",
              cache_invalidations_.load(kRelaxed));

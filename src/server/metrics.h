@@ -73,6 +73,11 @@ class ServerMetrics {
   void RecordCacheHit() { cache_hits_.fetch_add(1, kRelaxed); }
   void RecordCacheMiss() { cache_misses_.fetch_add(1, kRelaxed); }
   void RecordCacheEviction() { cache_evictions_.fetch_add(1, kRelaxed); }
+  /// A computed answer the admission doorkeeper kept out of the cache
+  /// (its key was not seen before).
+  void RecordCacheAdmissionSkip() {
+    cache_admission_skips_.fetch_add(1, kRelaxed);
+  }
   /// Entries whose bracket an invalidation pass extended / dropped.
   void RecordCacheExtensions(uint64_t n) {
     cache_extensions_.fetch_add(n, kRelaxed);
@@ -175,6 +180,7 @@ class ServerMetrics {
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};
   std::atomic<uint64_t> cache_evictions_{0};
+  std::atomic<uint64_t> cache_admission_skips_{0};
   std::atomic<uint64_t> cache_extensions_{0};
   std::atomic<uint64_t> cache_invalidations_{0};
   std::atomic<uint64_t> cache_bytes_{0};

@@ -122,6 +122,16 @@ bool ResultCache::LookupKRanks(ConstRow q, uint32_t k, uint64_t snap,
   return true;
 }
 
+bool ResultCache::Admit(ConstRow q, uint32_t k, bool is_rkr) {
+  const uint64_t hash = KeyHash(q.data(), q.size(), k, is_rkr);
+  std::lock_guard<std::mutex> lock(mu_);
+  uint64_t& slot = doorkeeper_[hash % kDoorkeeperSlots];
+  if (slot == hash) return true;
+  slot = hash;
+  if (metrics_ != nullptr) metrics_->RecordCacheAdmissionSkip();
+  return false;
+}
+
 void ResultCache::FillTopK(ConstRow q, uint32_t k, uint64_t version,
                            const ReverseTopKResult& result) {
   const uint64_t hash = KeyHash(q.data(), q.size(), k, false);

@@ -1,6 +1,7 @@
 #ifndef GIR_SERVER_RESULT_CACHE_H_
 #define GIR_SERVER_RESULT_CACHE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -89,6 +90,13 @@ class ResultCache {
   bool LookupKRanks(ConstRow q, uint32_t k, uint64_t snap,
                     ReverseKRanksResult* out);
 
+  /// Admission doorkeeper (TinyLFU-style, DESIGN.md §16): true iff the
+  /// key of (q, k, family) was offered here before, i.e. its hash still
+  /// holds its slot in a fixed direct-mapped array of kDoorkeeperSlots
+  /// hashes. Otherwise records the hash and returns false. The server
+  /// fills only admitted answers, so a query seen once costs no entry.
+  bool Admit(ConstRow q, uint32_t k, bool is_rkr);
+
   /// Inserts an answer computed at `version`. A pre-existing entry for
   /// the key is kept if its bracket already covers `version` (the stored
   /// and offered answers are then provably identical), else replaced.
@@ -159,6 +167,8 @@ class ResultCache {
   EntryList entries_;  // front = most recently used
   std::unordered_map<uint64_t, std::vector<EntryList::iterator>> index_;
   size_t bytes_ = 0;
+  static constexpr size_t kDoorkeeperSlots = 4096;  // 32 KiB of hashes
+  std::array<uint64_t, kDoorkeeperSlots> doorkeeper_{};
 };
 
 }  // namespace gir

@@ -718,9 +718,12 @@ void QueryServer::ExecuteBatch(bool is_rkr, uint32_t k,
 
   // Fill the result cache per query row at the batch's execution version
   // — each row becomes an independently bracketed entry, so later
-  // requests hit regardless of how they were batched on the wire.
+  // requests hit regardless of how they were batched on the wire. Only
+  // rows the doorkeeper has seen before are admitted: a query asked once
+  // would otherwise hold cache memory it never repays.
   if (cache_ != nullptr) {
     for (size_t i = 0; i < queries.size(); ++i) {
+      if (!cache_->Admit(queries.row(i), k, is_rkr)) continue;
       if (is_rkr) {
         cache_->FillKRanks(queries.row(i), k, version, kranks[i]);
       } else {

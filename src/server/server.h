@@ -256,9 +256,10 @@ class QueryServer {
 };
 
 /// Writes `port` (decimal, newline-terminated) to `path` atomically:
-/// the contents land in `path + ".tmp"` first and are renamed into place,
-/// so a reader polling the path never observes an empty or partial file —
-/// the contract scripted callers of `gir_serve --port-file` rely on.
+/// the contents land in a unique same-directory temp file first and are
+/// renamed into place (AtomicWriteFile), so a reader polling the path
+/// never observes an empty or partial file — the contract scripted
+/// callers of `gir_serve --port-file` rely on.
 Status WritePortFileAtomic(const std::string& path, uint16_t port);
 
 }  // namespace gir

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <random>
@@ -705,6 +706,9 @@ TEST(QueryServerTest, CacheServesRepeatsAndSurvivesIrrelevantMutations) {
   auto first = client.ReverseTopK(q, 4);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(client.last_cache_hit());
+  // The admission doorkeeper fills an answer only on its key's second
+  // sighting, so one warm-up repeat precedes the first expected hit.
+  ASSERT_TRUE(client.ReverseTopK(q, 4).ok());
   auto second = client.ReverseTopK(q, 4);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(client.last_cache_hit());
@@ -1212,6 +1216,15 @@ TEST(RemoteClientTest, SilentServerHitsTheIoDeadlineNotAHang) {
 
 // ---- gir_serve helpers -----------------------------------------------------
 
+/// Names in directory `dir` (without "." and "..").
+std::vector<std::string> DirEntries(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  return names;
+}
+
 TEST(PortFileTest, WritesAtomicallyViaRename) {
   char dir_template[] = "/tmp/gir_portfile_XXXXXX";
   ASSERT_NE(::mkdtemp(dir_template), nullptr);
@@ -1226,7 +1239,7 @@ TEST(PortFileTest, WritesAtomicallyViaRename) {
     EXPECT_EQ(contents, "4242\n");
   }
   // No temp artifact may remain next to the published file.
-  EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
+  EXPECT_EQ(DirEntries(dir), std::vector<std::string>{"port.txt"});
 
   // Overwriting an existing file goes through the same rename and
   // replaces the contents wholesale.
@@ -1237,7 +1250,7 @@ TEST(PortFileTest, WritesAtomicallyViaRename) {
                          std::istreambuf_iterator<char>());
     EXPECT_EQ(contents, "65535\n");
   }
-  EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
+  EXPECT_EQ(DirEntries(dir), std::vector<std::string>{"port.txt"});
 
   // An unwritable destination is a reported error, not a crash.
   EXPECT_FALSE(

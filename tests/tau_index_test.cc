@@ -144,6 +144,41 @@ TEST_P(TauEquivalence, BatchedQueriesMatchSingleQuery) {
   }
 }
 
+TEST_P(TauEquivalence, TopKBeyondTheTauRowMatchesOracleInEveryForm) {
+  // k in the band (k_max, |P|]: the histogram brackets settle most
+  // weights and the masked blocked fallback decides the rest. A coarse
+  // histogram leaves a wide unresolved band; a fine one a narrow band.
+  ThreadPool pool(3);
+  Dataset queries(points_.dim());
+  for (const auto& q : Queries()) queries.AppendUnchecked(q);
+  for (size_t bins : {size_t{8}, size_t{64}}) {
+    GirOptions options;
+    options.scan_mode = ScanMode::kTauIndex;
+    options.tau.k_max = GetParam().k_max;
+    options.tau.bins = bins;
+    options.tau.threads = 2;
+    const GirIndex tau = GirIndex::Build(points_, weights_, options).value();
+    for (size_t k : {GetParam().k_max + 1, size_t{100}, kN}) {
+      ASSERT_FALSE(tau.tau_index()->CanAnswerTopK(k)) << "k=" << k;
+      const auto batch = tau.ReverseTopKBatch(queries, k);
+      const auto parallel = ParallelReverseTopKBatch(tau, queries, k, pool);
+      ASSERT_EQ(batch.size(), queries.size());
+      ASSERT_EQ(parallel.size(), queries.size());
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        const ConstRow q = queries.row(qi);
+        const ReverseTopKResult expected =
+            NaiveReverseTopK(points_, weights_, q, k);
+        EXPECT_EQ(batch[qi], expected) << "bins=" << bins << " k=" << k;
+        EXPECT_EQ(parallel[qi], expected) << "bins=" << bins << " k=" << k;
+        EXPECT_EQ(tau.ReverseTopK(q, k), expected)
+            << "bins=" << bins << " k=" << k;
+        EXPECT_EQ(ParallelReverseTopK(tau, q, k, pool), expected)
+            << "bins=" << bins << " k=" << k;
+      }
+    }
+  }
+}
+
 TEST_P(TauEquivalence, BoundRankBracketsTrueRankAndPinsSmallRanks) {
   const TauIndex& tau = *tau_->tau_index();
   for (const auto& q : Queries()) {
@@ -176,6 +211,56 @@ std::vector<Case> AllCases() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, TauEquivalence,
                          ::testing::ValuesIn(AllCases()), CaseName);
+
+// ---------------------------------------------- the band beyond the τ row
+
+// Enough weights that the pool drivers stripe both passes: the scoring
+// sweep (|W| >= 1024) and the masked fallback (>= 8 open weight batches,
+// guaranteed by the coarse 4-bin histogram).
+TEST(TauBandTest, PoolStripedPassesMatchOracle) {
+  const Dataset points = GenerateUniform(300, 4, 41);
+  const Dataset weights = GenerateWeightsUniform(1100, 4, 42);
+  GirOptions options;
+  options.scan_mode = ScanMode::kTauIndex;
+  options.tau.k_max = 16;
+  options.tau.bins = 4;
+  const GirIndex tau = GirIndex::Build(points, weights, options).value();
+  const Dataset queries = GenerateUniform(3, 4, 43);
+  ThreadPool pool(3);
+  for (size_t k : {size_t{17}, size_t{60}}) {
+    const auto rtk = ParallelReverseTopKBatch(tau, queries, k, pool);
+    const auto rkr = ParallelReverseKRanksBatch(tau, queries, k, pool);
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const ConstRow q = queries.row(qi);
+      EXPECT_EQ(rtk[qi], NaiveReverseTopK(points, weights, q, k)) << k;
+      EXPECT_EQ(rkr[qi], NaiveReverseKRanks(points, weights, q, k)) << k;
+    }
+  }
+}
+
+// The point of the band path: a weight the histogram settles is never
+// scanned, so on a uniform batch the blocked engine streams strictly more
+// points for the same (identical) answers.
+TEST(TauBandTest, StreamsFewerPointsThanTheBlockedEngine) {
+  const Dataset points = GenerateUniform(2000, 4, 44);
+  const Dataset weights = GenerateWeightsUniform(200, 4, 45);
+  const Dataset queries = GenerateUniform(8, 4, 46);
+  GirOptions blocked_options;
+  blocked_options.scan_mode = ScanMode::kBlocked;
+  GirOptions tau_options;
+  tau_options.scan_mode = ScanMode::kTauIndex;
+  const GirIndex blocked =
+      GirIndex::Build(points, weights, blocked_options).value();
+  const GirIndex tau = GirIndex::Build(points, weights, tau_options).value();
+  const size_t k = 100;
+  ASSERT_FALSE(tau.tau_index()->CanAnswerTopK(k));
+  QueryStats blocked_stats;
+  QueryStats tau_stats;
+  EXPECT_EQ(tau.ReverseTopKBatch(queries, k, &tau_stats),
+            blocked.ReverseTopKBatch(queries, k, &blocked_stats));
+  EXPECT_GT(blocked_stats.points_streamed, 0u);
+  EXPECT_LT(tau_stats.points_streamed, blocked_stats.points_streamed);
+}
 
 // ------------------------------------------------------------- semantics
 
@@ -268,7 +353,11 @@ class TauIoTest : public ::testing::Test {
     options.k_max = 12;
     options.bins = 8;
     tau_ = TauIndex::Build(points_, weights_, options).value();
-    path_ = ::testing::TempDir() + "tau_io_test.bin";
+    // One file per test: ctest -j runs the fixtures as parallel
+    // processes, which must not save over or corrupt each other's file.
+    path_ = ::testing::TempDir() + "tau_io_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".bin";
     ASSERT_TRUE(SaveTauIndex(path_, *tau_).ok());
   }
 

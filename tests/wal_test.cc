@@ -311,7 +311,40 @@ TEST_F(WalTest, RotateStartsFreshLogsStampedWithTheSnapshotSequence) {
 
 // ---- Atomic file replacement (io/atomic_file.h) ------------------------
 
-class AtomicFileTest : public WalTest {};
+class AtomicFileTest : public WalTest {
+ protected:
+  /// True iff a temp file of an AtomicWriteFile(path) call (any
+  /// `<name>.tmp*` sibling of `path`) was left behind.
+  bool LeftTemp(const std::string& path) const {
+    const std::string prefix =
+        std::filesystem::path(path).filename().string() + ".tmp";
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+/// While alive, caps RLIMIT_NOFILE at the lowest free descriptor, so the
+/// next open — AtomicWriteFile's temp-file creation — fails with EMFILE.
+/// Unlike permission bits, this blocks creation even when run as root.
+class TempCreationBlocked {
+ public:
+  TempCreationBlocked() {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    const int lowest_free = ::dup(0);
+    ::close(lowest_free);
+    struct rlimit cap = saved_;
+    cap.rlim_cur = static_cast<rlim_t>(lowest_free);
+    ::setrlimit(RLIMIT_NOFILE, &cap);
+  }
+  ~TempCreationBlocked() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+ private:
+  struct rlimit saved_;
+};
 
 TEST_F(AtomicFileTest, FailedWriteFnLeavesOldContentsAndNoTemp) {
   const std::string path = Path("target.bin");
@@ -322,7 +355,7 @@ TEST_F(AtomicFileTest, FailedWriteFnLeavesOldContentsAndNoTemp) {
   });
   EXPECT_EQ(failed.code(), StatusCode::kIOError);
   EXPECT_EQ(ReadBytes(path), "old contents");
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_FALSE(LeftTemp(path));
 }
 
 TEST_F(AtomicFileTest, StreamFailureSurfacesAsIOError) {
@@ -337,20 +370,21 @@ TEST_F(AtomicFileTest, StreamFailureSurfacesAsIOError) {
   });
   EXPECT_EQ(failed.code(), StatusCode::kIOError);
   EXPECT_EQ(ReadBytes(path), "old contents");
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_FALSE(LeftTemp(path));
 }
 
 TEST_F(AtomicFileTest, ObstructedTempPathFailsWithoutTouchingTheTarget) {
   const std::string path = Path("target.bin");
   WriteBytes(path, "old contents");
-  std::filesystem::create_directories(path + ".tmp");
-  const Status failed = AtomicWriteFile(path, [](std::ostream& out) {
-    out << "new contents";
-    return Status::OK();
-  });
-  EXPECT_FALSE(failed.ok());
+  {
+    TempCreationBlocked blocked;
+    const Status failed = AtomicWriteFile(path, [](std::ostream& out) {
+      out << "new contents";
+      return Status::OK();
+    });
+    EXPECT_FALSE(failed.ok());
+  }
   EXPECT_EQ(ReadBytes(path), "old contents");
-  std::filesystem::remove_all(path + ".tmp");
 
   const Status ok = AtomicWriteFile(path, [](std::ostream& out) {
     out << "new contents";
@@ -385,7 +419,7 @@ TEST_F(AtomicFileTest, InjectedKernelWriteFailureLeavesOldContents) {
 
   EXPECT_EQ(failed.code(), StatusCode::kIOError);
   EXPECT_EQ(ReadBytes(path), "old contents");
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_FALSE(LeftTemp(path));
 }
 
 TEST_F(AtomicFileTest, SaveShardedIndexFailureKeepsThePreviousSnapshot) {
@@ -404,9 +438,10 @@ TEST_F(AtomicFileTest, SaveShardedIndexFailureKeepsThePreviousSnapshot) {
   const std::string before = ReadBytes(path);
 
   ASSERT_TRUE(index.value()->InsertPoint(points.row(0)).ok());
-  std::filesystem::create_directories(path + ".tmp");
-  EXPECT_FALSE(SaveShardedIndex(path, *index.value()).ok());
-  std::filesystem::remove_all(path + ".tmp");
+  {
+    TempCreationBlocked blocked;
+    EXPECT_FALSE(SaveShardedIndex(path, *index.value()).ok());
+  }
 
   // The failed save changed nothing: the old snapshot still loads.
   EXPECT_EQ(ReadBytes(path), before);
